@@ -23,6 +23,7 @@ number of heap events.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 
@@ -113,6 +114,9 @@ class SamplerPool(StaticLifecycleMixin):
     #: indexed chunk (:class:`~repro.core.timeline.ShardView`) — the
     #: sharded engine's zero-materialization ingest path.
     accepts_index = True
+    #: :meth:`merge` folds any number of pools in one pass
+    #: (see :func:`repro.engine.state.merged`).
+    merges_many = True
 
     __slots__ = ("_r", "_items", "_offsets", "_timestamps", "_heap", "_counts",
                  "_refs", "_t", "_rng", "_heap_events", "_settle_scans",
@@ -145,6 +149,29 @@ class SamplerPool(StaticLifecycleMixin):
             "repro_ingest_settle_scans_total",
             CATALOG_HELP["repro_ingest_settle_scans_total"],
         )
+
+    def __deepcopy__(self, memo) -> "SamplerPool":
+        """Copy the containers (their leaves are immutable ints and
+        tuples) and the RNG state — a fold's clone without the generic
+        per-element recursion.  Honors ``memo``, so a wrapper holding the
+        same generator as its pool still shares one copied generator;
+        metric instruments stay shared, as in every sampler copy."""
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        clone._items = list(self._items)
+        clone._offsets = list(self._offsets)
+        clone._timestamps = list(self._timestamps)
+        clone._heap = list(self._heap)
+        clone._counts = dict(self._counts)
+        clone._refs = dict(self._refs)
+        rng = memo.get(id(self._rng))
+        if rng is None:
+            bits = self._rng.bit_generator
+            twin = type(bits)(0)
+            twin.state = bits.state
+            rng = memo[id(self._rng)] = np.random.Generator(twin)
+        clone._rng = rng
+        return clone
 
     @property
     def instances(self) -> int:
@@ -780,67 +807,103 @@ class SamplerPool(StaticLifecycleMixin):
         pool.restore(state)
         return pool
 
-    def merge(self, other: "SamplerPool") -> list[bool]:
-        """Absorb a pool that ingested a *disjoint* partition of the
-        universe (items of the two substreams must not overlap — a hash
-        partition guarantees this; overlapping supports silently break the
+    def merge(self, *others: "SamplerPool") -> list[bool]:
+        """Absorb pools that each ingested a *disjoint* partition of the
+        universe (no item may occur in two substreams — a hash partition
+        guarantees this; overlapping supports silently break the
         forward-count semantics).
 
-        Merged instance ``k`` keeps this pool's ``k``-th instance with
-        probability ``m₁/(m₁+m₂)``, else adopts ``other``'s — i.e. a
-        uniform position over the concatenated stream.  Because item
-        supports are disjoint, a kept instance's forward count in its own
-        substream *is* its forward count in any interleaving, so the
-        merged pool is distributed exactly as one pool run over the
-        concatenation (the mergeability behind the sharded engine).
-        Replacement times are redrawn at the merged length — valid since
-        a reservoir's next-replacement law depends only on its position.
+        The fold is the left-to-right sequence of pairwise steps: at
+        each non-empty input of length ``m₂``, merged instance ``k``
+        keeps the running fold's ``k``-th instance with probability
+        ``m₁/(m₁+m₂)``, else adopts the input's — i.e. a uniform position
+        over the concatenated stream.  Because item supports are
+        disjoint, a kept instance's forward count in its own substream
+        *is* its forward count in any interleaving, so the merged pool is
+        distributed exactly as one pool run over the concatenation (the
+        mergeability behind the sharded engine).  Replacement times are
+        redrawn at the merged length — valid since a reservoir's
+        next-replacement law depends only on its position.
+
+        The steps run as one pass: each instance ends on the last input
+        that adopted it (one vectorized pass over a block of keep-coins),
+        and its count is its picked count (counts take the max, offsets
+        are max − count), so only the ``R`` picked entries are read and
+        the shared tables and the heap are built once.  The RNG draws are
+        the pairwise steps' — per non-empty input, ``R`` keep-coins when
+        ``m₁ > 0``, then ``R`` jumps of which only the last step's are
+        kept — so ``merge(a, b)`` is bitwise ``merge(a)`` then
+        ``merge(b)``.  Inputs at position 0 are skipped without a draw.
 
         Returns the per-instance pick mask (``True`` where this pool's
-        instance was kept) so wrappers carrying side-channel per-instance
-        state (e.g. wall-clock adoption times) can merge it consistently.
+        own instance survived the whole fold) so wrappers carrying
+        side-channel per-instance state (e.g. wall-clock adoption times)
+        can merge it consistently.
         """
-        if not isinstance(other, SamplerPool):
-            raise TypeError(f"cannot merge SamplerPool with {type(other).__name__}")
-        if other._r != self._r:
-            raise ValueError(
-                f"instance counts differ: {self._r} vs {other._r}"
-            )
-        m1, m2 = self._t, other._t
-        if m2 == 0:
-            return [True] * self._r
-        total = m1 + m2
-        mine = self.finalize()
-        theirs = other.finalize()
-        kept_self: list[bool] = []
-        picks: list[tuple[int, int, int]] = []
-        for k in range(self._r):
-            if m1 > 0 and self._rng.random() < m1 / total:
-                kept_self.append(True)
-                picks.append(mine[k])
-            else:
-                kept_self.append(False)
-                item, count, ts = theirs[k]
-                picks.append((item, count, m1 + ts))
+        for other in others:
+            if not isinstance(other, SamplerPool):
+                raise TypeError(
+                    f"cannot merge SamplerPool with {type(other).__name__}"
+                )
+            if other._r != self._r:
+                raise ValueError(
+                    f"instance counts differ: {self._r} vs {other._r}"
+                )
+        r = self._r
+        steps = [other for other in others if other._t > 0]
+        if not steps:
+            return [True] * r
+        # One row per pool that holds a stream, this one first; row i
+        # sits after the ``starts[i]`` positions folded before it.
+        pools = ([self] if self._t > 0 else []) + steps
+        starts = [0]
+        for pool in pools:
+            starts.append(starts[-1] + pool._t)
+        total = starts.pop()
+        # The pairwise steps' draws: R jumps per step, each preceded by R
+        # keep-coins unless the fold so far is empty — so row i ≥ 1 draws
+        # coins, and a leading empty fold does not.  All but the last
+        # step's jumps come as one block; those are drawn last, before
+        # any state moves.
+        lead = r if self._t == 0 else 0
+        n = len(pools) - 1
+        drawn = self._rng.random(lead + 2 * r * n - r)
+        coins = drawn[lead + 2 * r * np.arange(n).reshape(-1, 1) + np.arange(r)]
+        jumps = skip_next_replacements([total] * r, self._rng)
+        thresholds = [
+            starts[i] / (starts[i] + pools[i]._t) for i in range(1, len(pools))
+        ]
+        # adopt[i, k]: row i's instance k replaced the fold's (row 0 is
+        # the base).  Each instance ends on the last row that adopted it.
+        adopt = np.ones((len(pools), r), dtype=bool)
+        adopt[1:] = coins >= np.array(thresholds).reshape(-1, 1)
+        src = (len(pools) - 1 - np.argmax(adopt[::-1], axis=0)).tolist()
+        heap = list(zip(jumps, range(r)))
+        heapq.heapify(heap)
+        # Gather the R picks; the shared tables fill in first-occurrence
+        # instance order (the order the snapshot's keys serialize in).
+        items, picked, stamps = [], [], []
         counts: dict[int, int] = {}
         refs: dict[int, int] = {}
-        for item, count, __ in picks:
+        for k, row in enumerate(src):
+            pool = pools[row]
+            item = pool._items[k]
+            count = pool._counts[item] - pool._offsets[k]
+            items.append(item)
+            picked.append(count)
+            stamps.append(starts[row] + pool._timestamps[k])
             refs[item] = refs.get(item, 0) + 1
             counts[item] = max(counts.get(item, 0), count)
-        for k, (item, count, ts) in enumerate(picks):
-            self._items[k] = item
-            self._offsets[k] = counts[item] - count
-            self._timestamps[k] = ts
+        kept = [row == 0 and self._t > 0 for row in src]
+        self._items = items
+        self._offsets = [counts[item] - count for item, count in zip(items, picked)]
+        self._timestamps = stamps
         self._counts = counts
         self._refs = refs
         self._t = total
-        # One batched draw for the redrawn schedule — bitwise identical
-        # to R scalar skip_next_replacement calls at the merged length.
-        jumps = skip_next_replacements([total] * self._r, self._rng)
-        self._heap = list(zip(jumps, range(self._r)))
-        heapq.heapify(self._heap)
-        self._heap_events += other._heap_events
-        return kept_self
+        self._heap = heap
+        self._heap_events += sum(other._heap_events for other in steps)
+        return kept
 
     def finalize(self) -> list[tuple[int, int, int]]:
         """Per-instance ``(item, count, timestamp)`` triples.
@@ -892,6 +955,8 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
     #: … or a :class:`~repro.core.timeline.ShardView` of a shared
     #: indexed chunk (forwarded to the pool untouched).
     accepts_index = True
+    #: :meth:`merge` folds any number of samplers in one pass.
+    merges_many = True
 
     def __init__(
         self,
@@ -904,12 +969,15 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
         if not 0 < delta < 1:
             raise ValueError("delta must be in (0, 1)")
         self._measure = measure
-        self._rng = (
+        rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         if instances is None:
             instances = self.default_instances(measure, delta, m_hint)
-        self._pool = SamplerPool(instances, self._rng)
+        # Bound before ``_rng``, so a deep copy reaches the pool's cheap
+        # generator copy first and resolves ``_rng`` through the memo.
+        self._pool = SamplerPool(instances, rng)
+        self._rng = rng
         self._delta = delta
 
     @staticmethod
@@ -991,23 +1059,26 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
         self._pool.restore(state["pool"])
         self._rng = self._pool._rng
 
-    def merge(self, other: "TrulyPerfectGSampler") -> None:
-        """Absorb a sampler run over a disjoint universe partition.
+    def merge(self, *others: "TrulyPerfectGSampler") -> None:
+        """Absorb samplers run over disjoint universe partitions.
 
-        Exact under the same contract as :meth:`SamplerPool.merge`; the
-        two samplers must use the same measure.
+        Exact under the same contract as :meth:`SamplerPool.merge` (one
+        pass over all inputs, bitwise equal to merging them one at a
+        time); every input must use the same measure, and all are
+        checked before any state moves.
         """
-        if not isinstance(other, TrulyPerfectGSampler):
-            raise TypeError(
-                f"cannot merge TrulyPerfectGSampler with {type(other).__name__}"
-            )
-        if type(other._measure) is not type(self._measure) or (
-            other._measure.name != self._measure.name
-        ):
-            raise ValueError(
-                f"measures differ: {self._measure.name} vs {other._measure.name}"
-            )
-        self._pool.merge(other._pool)
+        for other in others:
+            if not isinstance(other, TrulyPerfectGSampler):
+                raise TypeError(
+                    f"cannot merge TrulyPerfectGSampler with {type(other).__name__}"
+                )
+            if type(other._measure) is not type(self._measure) or (
+                other._measure.name != self._measure.name
+            ):
+                raise ValueError(
+                    f"measures differ: {self._measure.name} vs {other._measure.name}"
+                )
+        self._pool.merge(*(other._pool for other in others))
 
     def _zeta(self) -> float:
         return self._measure.zeta(None)

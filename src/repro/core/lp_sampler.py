@@ -83,6 +83,8 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
     #: indexed chunk: the pool consumes the view directly; only the
     #: Misra–Gries normalizer pass materializes the subchunk values.
     accepts_index = True
+    #: :meth:`merge` folds any number of samplers in one pass.
+    merges_many = True
 
     def __init__(
         self,
@@ -100,12 +102,15 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         self._p = p
         self._n = n
         self._measure = LpMeasure(p)
-        self._rng = (
+        rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         if instances is None:
             instances = lp_instance_bound(p, n, delta, m_hint)
-        self._pool = SamplerPool(instances, self._rng)
+        # Bound before ``_rng``, so a deep copy reaches the pool's cheap
+        # generator copy first and resolves ``_rng`` through the memo.
+        self._pool = SamplerPool(instances, rng)
+        self._rng = rng
         if p > 1:
             capacity = max(1, math.ceil(n ** (1.0 - 1.0 / p)))
             self._mg: MisraGries | None = MisraGries(capacity)
@@ -195,23 +200,32 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         if self._mg is not None:
             self._mg.restore(state["mg"])
 
-    def merge(self, other: "TrulyPerfectLpSampler") -> None:
-        """Absorb a sampler fed a *disjoint* partition of the universe.
+    def merge(self, *others: "TrulyPerfectLpSampler") -> None:
+        """Absorb samplers fed *disjoint* partitions of the universe.
 
         Pool merge is exact under the partition contract (see
-        :meth:`repro.core.g_sampler.SamplerPool.merge`); the merged
-        Misra–Gries summary certifies ``max_shards ‖f‖∞`` globally, so
-        the rejection step stays truly perfect.
+        :meth:`repro.core.g_sampler.SamplerPool.merge` — one pass over
+        all inputs, bitwise equal to merging them one at a time); the
+        merged Misra–Gries summary certifies ``max_shards ‖f‖∞``
+        globally, so the rejection step stays truly perfect.  Every
+        input is checked before any state moves.
         """
-        if not isinstance(other, TrulyPerfectLpSampler):
-            raise TypeError(
-                f"cannot merge TrulyPerfectLpSampler with {type(other).__name__}"
-            )
-        if other._p != self._p:
-            raise ValueError(f"p differs: {self._p} vs {other._p}")
-        self._pool.merge(other._pool)
+        for other in others:
+            if not isinstance(other, TrulyPerfectLpSampler):
+                raise TypeError(
+                    f"cannot merge TrulyPerfectLpSampler with {type(other).__name__}"
+                )
+            if other._p != self._p:
+                raise ValueError(f"p differs: {self._p} vs {other._p}")
+            if self._mg is not None and other._mg.capacity != self._mg.capacity:
+                raise ValueError(
+                    f"Misra-Gries capacities differ: {self._mg.capacity} vs "
+                    f"{other._mg.capacity}"
+                )
+        self._pool.merge(*(other._pool for other in others))
         if self._mg is not None:
-            self._mg.merge(other._mg)
+            for other in others:
+                self._mg.merge(other._mg)
 
     def normalizer(self) -> float:
         """The certified ζ for the rejection step at the current time."""

@@ -874,9 +874,16 @@ class ShardedSamplerEngine:
 
     def merge(self, other: "ShardedSamplerEngine") -> None:
         """Shard-wise merge of two engines with identical layouts (e.g.
-        the same engine config fed from two sites).  Checks watermark
-        skew across *both* engines' shards first — cross-site merges are
-        exactly where producer clock skew bites."""
+        the same engine config fed from two sites that own disjoint id
+        ranges).  Shard ``i`` of both engines covers the same hash
+        partition, so the sites' supports must be disjoint — the sampler
+        merge is exact only then.  For kinds that expose
+        ``tracked_values()`` (the pool-backed ``g``/``lp``/``pool``), an
+        id tracked by shard ``i`` of both engines raises ``ValueError``
+        before any state moves; ids neither side tracks cannot be seen,
+        so the check catches overlap, it does not certify its absence.
+        Checks watermark skew across *both* engines' shards first —
+        cross-site merges are exactly where producer clock skew bites."""
         if not isinstance(other, ShardedSamplerEngine):
             raise TypeError(
                 f"cannot merge ShardedSamplerEngine with {type(other).__name__}"
@@ -884,6 +891,17 @@ class ShardedSamplerEngine:
         if other._partitioner != self._partitioner:
             raise ValueError("engines partition the universe differently")
         self._check_watermark_skew(self._samplers + other._samplers)
+        for shard, (mine, theirs) in enumerate(zip(self._samplers, other._samplers)):
+            tracked = getattr(mine, "tracked_values", None)
+            if tracked is None:
+                continue
+            shared = np.intersect1d(tracked(), theirs.tracked_values())
+            if shared.size:
+                raise ValueError(
+                    f"shard {shard}: id {int(shared[0])} was ingested by both "
+                    "engines — cross-engine merge needs disjoint id ranges "
+                    "(overlapping supports would bias the merged counts)"
+                )
         for mine, theirs in zip(self._samplers, other._samplers):
             mine.merge(theirs)
         self._bump_all("merge")

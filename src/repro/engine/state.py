@@ -57,10 +57,18 @@ def merged(samplers):
     """Fold a sequence of mergeable samplers into a fresh merged sampler,
     leaving the inputs untouched (the first is deep-copied).
 
+    Kinds that declare ``merges_many`` (the pool-backed ``g``, ``lp``
+    and ``pool``) absorb all the rest in one ``merge(*rest)`` pass; the
+    others merge them one at a time.  Both are bitwise the same fold.
+
     **RNG / determinism contract.**  The fold's RNG stream begins as a
     copy of the first input's RNG state at fold time (the deep copy) and
     is advanced by the merge draws; from then on it belongs to the
-    merged view alone.  Queries against the fold draw successive coins
+    merged view alone.  For pool-backed kinds the merge draws are part
+    of the bitwise contract: each input at position > 0, in order,
+    consumes ``R`` keep-coins when the fold so far is non-empty, then
+    ``R`` jump draws (``R`` = instances per pool; empty inputs consume
+    nothing).  Queries against the fold draw successive coins
     from that private stream — they never re-seed from the live input's
     RNG — so a *retained* fold answers repeated queries with fresh,
     deterministic draws, while *re-folding* before every query resets
@@ -75,6 +83,10 @@ def merged(samplers):
     if not samplers:
         raise ValueError("nothing to merge")
     out = copy.deepcopy(samplers[0])
-    for other in samplers[1:]:
-        out.merge(other)
+    rest = samplers[1:]
+    if getattr(out, "merges_many", False):
+        out.merge(*rest)
+    else:
+        for other in rest:
+            out.merge(other)
     return out

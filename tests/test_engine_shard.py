@@ -100,10 +100,30 @@ class TestShardedEngineBasics:
         site_b = ShardedSamplerEngine(
             self.CONFIG, shards=4, seed=8, partitioner=site_a.partitioner
         )
+        # The sites own disjoint id ranges: shard i of both engines covers
+        # the same hash partition, so overlapping ids would bias the merge.
         site_a.ingest(stream.items[:1000])
-        site_b.ingest(stream.items[1000:])
+        site_b.ingest(np.asarray(stream.items[1000:]) + 48)
         site_a.merge(site_b)
         assert site_a.position == 2000
+
+    def test_cross_engine_merge_rejects_overlapping_ids(self):
+        site_a = ShardedSamplerEngine(self.CONFIG, shards=4, seed=7)
+        site_b = ShardedSamplerEngine(
+            self.CONFIG, shards=4, seed=8, partitioner=site_a.partitioner
+        )
+        # Pools fed [5, 5, 7] and [5, 7, 5] never give 5 a count above 2;
+        # one pool over the concatenation does — so overlap must raise.
+        site_a.ingest(np.array([5, 5, 7]))
+        site_b.ingest(np.array([5, 7, 5]))
+        shards = site_a.partitioner.assign(np.array([5, 7])).tolist()
+        shard, item = min(zip(shards, [5, 7]))  # the first overlap checked
+        epochs = site_a.mutation_epochs()
+        with pytest.raises(ValueError, match=f"shard {shard}: id {item} "):
+            site_a.merge(site_b)
+        # rejected before any shard moved
+        assert site_a.position == 3
+        assert site_a.mutation_epochs() == epochs
 
     def test_merge_rejects_different_layouts(self):
         a = ShardedSamplerEngine(self.CONFIG, shards=4, seed=1)

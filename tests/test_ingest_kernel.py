@@ -83,6 +83,7 @@ class TestEngineScalarParity:
         the batched and scalar paths must stay bitwise locked through
         every lifecycle edge, not just on a fresh sampler."""
         s1, s2, s3 = (_zipf(1200, 300, seed=s) for s in (21, 22, 23))
+        s2 = s2 + 300  # the merged-in site owns a disjoint id range
         batched = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
         scalar = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
         # Same seed: engine merge demands an identical partition layout

@@ -270,7 +270,7 @@ class TestInvalidation:
         )
         a_cached.ingest(ITEMS[:1500])
         a_fresh.ingest(ITEMS[:1500])
-        b.ingest(ITEMS[1500:])
+        b.ingest(ITEMS[1500:] + N)  # site b owns a disjoint id range
         a_cached.sample()  # warm
         b_twin = ShardedSamplerEngine(
             ENGINE_CONFIGS["g"],
@@ -278,7 +278,7 @@ class TestInvalidation:
             seed=99,
             partitioner=a_fresh.partitioner,
         )
-        b_twin.ingest(ITEMS[1500:])
+        b_twin.ingest(ITEMS[1500:] + N)
         a_cached.merge(b)
         a_fresh.merge(b_twin)
         assert a_cached.sample() == a_fresh.merged_sampler().sample()
